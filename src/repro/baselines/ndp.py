@@ -94,7 +94,7 @@ class NdpHost(Host):
         self.sim.schedule(gap, self._burst, flow, remaining - 1)
 
     def _ndp_send(self, flow, seq: int) -> None:
-        pkt = self.pool.acquire(
+        pkt = Packet(
             PacketKind.DATA,
             self.node_id,
             flow.dst,
@@ -166,9 +166,7 @@ class NdpHost(Host):
             flow = self.flow_table.get(flow_id)
             if flow is None or flow.receiver_done:
                 continue
-            pull = self.pool.acquire_control(
-                PacketKind.NDP_PULL, self.node_id, flow.src
-            )
+            pull = Packet.control(PacketKind.NDP_PULL, self.node_id, flow.src)
             pull.flow_id = flow_id
             self.ports[0].enqueue_control(pull)
             return
@@ -205,9 +203,6 @@ class NdpHost(Host):
             if self.sanitizer is not None:
                 self.sanitizer.note_pfc(self, ingress_port, False, port.paused)
             port.resume()
-        # every kind is fully consumed at the host (trimmed headers
-        # included — the NACK is a fresh frame), so recycle here
-        self.pool.release(pkt)
 
     def _rx_data(self, pkt: Packet) -> None:
         self.rx_data_packets += 1
@@ -245,7 +240,7 @@ class NdpHost(Host):
                     )
                 if self.on_flow_done is not None:
                     self.on_flow_done(flow)
-        ack = self.pool.acquire_control(PacketKind.ACK, self.node_id, flow.src)
+        ack = Packet.control(PacketKind.ACK, self.node_id, flow.src)
         ack.flow_id = flow.flow_id
         ack.seq = pkt.seq
         self.ports[0].enqueue_control(ack)
@@ -257,7 +252,7 @@ class NdpHost(Host):
         if flow is None:
             return
         cc = self._ndp_rx_state(flow)
-        nack = self.pool.acquire_control(PacketKind.NDP_NACK, self.node_id, flow.src)
+        nack = Packet.control(PacketKind.NDP_NACK, self.node_id, flow.src)
         nack.flow_id = flow.flow_id
         nack.seq = pkt.seq
         self.ports[0].enqueue_control(nack)

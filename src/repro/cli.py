@@ -617,16 +617,13 @@ def main(argv: list[str] | None = None) -> int:
         return _check(args)
 
     if args.command == "bench":
-        from pathlib import Path
-
         from repro.experiments.bench import (
-            DEFAULT_FLOWSIM_FILE,
-            DEFAULT_RPC_FILE,
             check_gate,
             gate_metric_for,
             load_bench_file,
             run_and_write,
             scenario_matrix,
+            trajectory_file,
         )
 
         if args.repeats < 1:
@@ -647,17 +644,11 @@ def main(argv: list[str] | None = None) -> int:
         # gate against the history as it stood *before* this run's
         # entry was appended, so a regression cannot hide behind itself
         out = args.out or os.environ.get("REPRO_BENCH_OUT") or "BENCH_engine.json"
-        prior = load_bench_file(out)
-        side_files = {
-            "flows_per_sec": DEFAULT_FLOWSIM_FILE,
-            "requests_per_sec": DEFAULT_RPC_FILE,
-        }
-        for side in {side_files[m] for m in metrics.values() if m in side_files}:
-            side_prior = load_bench_file(Path(out).with_name(side))
-            prior = {
-                "history": prior.get("history", [])
-                + side_prior.get("history", [])
-            }
+        prior: dict = {"history": []}
+        for metric in dict.fromkeys(metrics.values()):
+            prior["history"] += load_bench_file(
+                trajectory_file(metric, out)
+            ).get("history", [])
         print(f"Running engine benchmarks: {', '.join(names)} ...", file=sys.stderr)
         result = run_and_write(
             repeats=args.repeats, path=args.out, scenarios=names

@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.experiments import registry
+from repro.experiments.parallel import available_cpus
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 
@@ -68,24 +69,16 @@ DEFAULT_FLOWSIM_FILE = "BENCH_flowsim.json"
 #: closed-loop rpc trajectory, also written next to the engine file
 DEFAULT_RPC_FILE = "BENCH_rpc.json"
 
-#: scenarios carrying this prefix run at ``fidelity="flow"`` and are
-#: recorded/gated separately (events/second is meaningless when a
-#: whole incast is a handful of rate events)
-FLOWSIM_PREFIX = "flowsim-"
-
-#: closed-loop rpc scenarios: recorded in their own trajectory and
-#: gated on requests/second (the number the subsystem exists to serve)
-RPC_PREFIX = "rpc-"
-
-#: hybrid-tier scenarios (``fidelity="hybrid"``): recorded alongside
-#: the fluid tier in ``BENCH_flowsim.json``, gated on flows/second,
-#: plus a packet-engine twin timing that yields ``speedup_vs_packet``
-HYBRID_PREFIX = "hybrid-"
-
-#: sharded-engine scenarios (``config.shards > 1``): recorded in the
-#: engine trajectory with the usual events/second regression gate,
-#: plus a serial-twin timing that yields ``speedup_vs_serial``
-SHARD_PREFIX = "shard-"
+#: gate metric -> (trajectory file, its ``benchmark`` label, the
+#: :func:`run_and_write` result key naming it).  A record goes to the
+#: trajectory of its scenario's registered gate metric; ``None`` is
+#: the engine file itself (``path`` / ``$REPRO_BENCH_OUT`` /
+#: ``BENCH_engine.json``), the other files sit next to it
+TRAJECTORIES = {
+    "events_per_sec": (None, "engine-bench", "output_file"),
+    "flows_per_sec": (DEFAULT_FLOWSIM_FILE, "flowsim-bench", "flowsim_output_file"),
+    "requests_per_sec": (DEFAULT_RPC_FILE, "rpc-bench", "rpc_output_file"),
+}
 
 #: scenario -> minimum speedup_vs_serial the gate enforces.  The gate
 #: only applies when the record's machine had at least as many CPUs as
@@ -161,28 +154,40 @@ def scenario_matrix() -> Dict[str, BenchScenario]:
 
 
 def gate_metric_for(scenario: str) -> str:
-    """The throughput metric ``scenario`` is gated on.
+    """The throughput metric the registered ``scenario`` is gated on."""
+    return registry.get(scenario).gate_metric
 
-    Registered scenarios declare it; unregistered names (historical
-    records, ad-hoc entries) fall back to the prefix conventions the
-    history files are organized around.
-    """
-    if scenario in registry.names():
-        return registry.get(scenario).gate_metric
-    if scenario.startswith((FLOWSIM_PREFIX, HYBRID_PREFIX)):
-        return "flows_per_sec"
-    if scenario.startswith(RPC_PREFIX):
-        return "requests_per_sec"
-    return "events_per_sec"
+
+def trajectory_file(metric: str, engine_out: Union[str, Path]) -> Path:
+    """The trajectory file records gated on ``metric`` are appended to."""
+    name = TRAJECTORIES[metric][0]
+    return Path(engine_out).with_name(name) if name else Path(engine_out)
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
 
 
 def machine_fingerprint() -> str:
     """Identifies the hardware a record was measured on.
 
-    Events/second is only comparable within one machine; the gate
-    never compares records across fingerprints.
+    Host name and architecture alone read the same on every VM, so
+    the fingerprint also carries the CPU model, the usable CPU count
+    and the Python version.  Events/second is only comparable within
+    one machine; the gate never compares records across fingerprints.
     """
-    return f"{platform.node()}/{platform.machine()}"
+    py = ".".join(platform.python_version_tuple()[:2])
+    return (
+        f"{platform.node()}/{platform.machine()}/{_cpu_model()}"
+        f"/{available_cpus()}cpu/py{py}"
+    )
 
 
 # -- running ------------------------------------------------------------------
@@ -500,34 +505,22 @@ def run_and_write(
 ) -> Dict:
     """Benchmark, append to the trajectories, and return the records.
 
-    Packet-engine records land in the engine file (``path`` /
-    ``$REPRO_BENCH_OUT`` / ``BENCH_engine.json``); ``flowsim-*`` and
-    ``hybrid-*`` records land in ``BENCH_flowsim.json`` and ``rpc-*``
-    records in ``BENCH_rpc.json``, both next to it.  The return value maps
+    Each record lands in the trajectory of its gate metric
+    (:data:`TRAJECTORIES`): events/s records in the engine file
+    (``path`` / ``$REPRO_BENCH_OUT`` / ``BENCH_engine.json``), flows/s
+    records in ``BENCH_flowsim.json`` and requests/s records in
+    ``BENCH_rpc.json``, both next to it.  The return value maps
     scenario name to its fresh record, plus ``output_file`` (engine)
     and, when they ran, ``flowsim_output_file`` / ``rpc_output_file``.
     """
     records = run_matrix(scenarios, repeats=repeats)
     out = Path(path or os.environ.get(ENV_BENCH_OUT) or DEFAULT_BENCH_FILE)
-    rpc = {k: v for k, v in records.items() if k.startswith(RPC_PREFIX)}
-    flowsim = {
-        k: v
-        for k, v in records.items()
-        if k.startswith((FLOWSIM_PREFIX, HYBRID_PREFIX)) and k not in rpc
-    }
-    engine = {
-        k: v for k, v in records.items() if k not in rpc and k not in flowsim
-    }
     result: Dict = dict(records)
-    if engine:
-        append_history(engine, out)
     result["output_file"] = str(out)
-    if flowsim:
-        flowsim_out = out.with_name(DEFAULT_FLOWSIM_FILE)
-        append_history(flowsim, flowsim_out, benchmark="flowsim-bench")
-        result["flowsim_output_file"] = str(flowsim_out)
-    if rpc:
-        rpc_out = out.with_name(DEFAULT_RPC_FILE)
-        append_history(rpc, rpc_out, benchmark="rpc-bench")
-        result["rpc_output_file"] = str(rpc_out)
+    for metric, (_, benchmark, key) in TRAJECTORIES.items():
+        group = {k: v for k, v in records.items() if gate_metric_for(k) == metric}
+        if group:
+            target = trajectory_file(metric, out)
+            append_history(group, target, benchmark=benchmark)
+            result[key] = str(target)
     return result

@@ -51,7 +51,7 @@ from repro.telemetry.export import TelemetryExport
 
 #: bump when ResultSummary's layout or the simulation's semantics
 #: change in a way that invalidates previously cached runs
-CACHE_SCHEMA_VERSION = 9  # v9: hybrid fidelity tier, incremental max-min, fluid tail-path cache
+CACHE_SCHEMA_VERSION = 10  # v10: packet-recycling knob dropped from the config fingerprint
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_PARALLEL = "REPRO_PARALLEL"

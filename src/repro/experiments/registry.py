@@ -9,8 +9,9 @@ gated on.  ``bench.py`` derives its matrix from the ``bench`` tag and
 list``/``scenarios show`` subcommands from the same table, so adding a
 workload is config, not code spread over three files.
 
-Naming conventions carried over from the bench matrix (the gate and
-the history files key off them):
+An entry's ``gate_metric`` also picks the trajectory file its bench
+records go to (``bench.TRAJECTORIES``); the name prefixes follow it
+by convention:
 
 * ``flowsim-*`` — runs at ``fidelity="flow"``, gated on flows/s,
   recorded in ``BENCH_flowsim.json``;

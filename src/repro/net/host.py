@@ -146,9 +146,7 @@ class Host(Node):
         now = self.sim.now
         seq = flow.next_seq
         size = flow.packet_size(seq)
-        pkt = self.pool.acquire(
-            PacketKind.DATA, self.node_id, flow.dst, size, flow.flow_id, seq
-        )
+        pkt = Packet(PacketKind.DATA, self.node_id, flow.dst, size, flow.flow_id, seq)
         pkt.sent_time = now
         if self.int_enabled:
             pkt.int_records = []
@@ -221,11 +219,6 @@ class Host(Node):
                 flow = self.flow_table[flow_id]
                 if flow.dst == pkt.pause_dst and not flow.sender_done:
                     self._kick(flow)
-        # hosts are sinks: every kind above is fully consumed here, so
-        # the packet can go straight back to the pool (handlers keep no
-        # reference — ACK INT stacks are aliased as lists, and reset()
-        # only rebinds ``int_records``, never mutates the list)
-        self.pool.release(pkt)
 
     def _receive_data(self, pkt: Packet) -> None:
         self.rx_data_packets += 1
@@ -241,9 +234,7 @@ class Host(Node):
                 self.stats.record_corrupt_rx()
             if now - flow.last_nack_time >= self.nack_interval:
                 flow.last_nack_time = now
-                nack = self.pool.acquire_control(
-                    PacketKind.NACK, self.node_id, flow.src
-                )
+                nack = Packet.control(PacketKind.NACK, self.node_id, flow.src)
                 nack.flow_id = flow.flow_id
                 nack.seq = flow.expected_seq
                 self.ports[0].enqueue_control(nack)
@@ -281,9 +272,7 @@ class Host(Node):
             # gap: go-back-N NACK, rate limited
             if not flow.fluid_src and now - flow.last_nack_time >= self.nack_interval:
                 flow.last_nack_time = now
-                nack = self.pool.acquire_control(
-                    PacketKind.NACK, self.node_id, flow.src
-                )
+                nack = Packet.control(PacketKind.NACK, self.node_id, flow.src)
                 nack.flow_id = flow.flow_id
                 nack.seq = flow.expected_seq
                 self.ports[0].enqueue_control(nack)
@@ -298,12 +287,12 @@ class Host(Node):
             and now - flow.last_cnp_time >= self.cnp_interval
         ):
             flow.last_cnp_time = now
-            cnp = self.pool.acquire_control(PacketKind.CNP, self.node_id, flow.src)
+            cnp = Packet.control(PacketKind.CNP, self.node_id, flow.src)
             cnp.flow_id = flow.flow_id
             self.ports[0].enqueue_control(cnp)
 
     def _send_ack(self, flow: Flow, data_pkt: Packet) -> None:
-        ack = self.pool.acquire_control(PacketKind.ACK, self.node_id, flow.src)
+        ack = Packet.control(PacketKind.ACK, self.node_id, flow.src)
         ack.flow_id = flow.flow_id
         ack.seq = flow.expected_seq
         ack.echo_time = data_pkt.sent_time

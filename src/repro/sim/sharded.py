@@ -3,12 +3,12 @@
 The serial engine runs one heap over the whole fabric.  This module
 partitions a built :class:`~repro.experiments.scenario.Scenario` into
 ``shards`` simulation *domains* — per-pod on fat trees, per-ToR-group
-on leaf-spine fabrics — each with its own :class:`Simulator` heap,
-node set, and packet pool, synchronized by classic conservative
-lookahead: the minimum propagation delay over the links that cross a
-domain boundary.  Domains advance independently inside a window no
-wider than that lookahead, then exchange boundary deliveries through
-deterministic ordered channels.
+on leaf-spine fabrics — each with its own :class:`Simulator` heap and
+node set, synchronized by classic conservative lookahead: the minimum
+propagation delay over the links that cross a domain boundary.
+Domains advance independently inside a window no wider than that
+lookahead, then exchange boundary deliveries through deterministic
+ordered channels.
 
 Why the result is *identical* to serial, not merely statistically
 equivalent: the engine's heap key is ``(time, lid, seq)`` where every
@@ -64,7 +64,7 @@ import time as _time
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.packet import DISABLED_POOL, PacketKind, PacketPool
+from repro.net.packet import PacketKind
 from repro.sim.engine import Simulator
 
 __all__ = [
@@ -244,7 +244,6 @@ def _bind_domains(
     scenario,
     domain_of: Dict[int, int],
     sims: List[Simulator],
-    pools: list,
     channel,
     hubs: Optional[list] = None,
 ) -> None:
@@ -266,7 +265,6 @@ def _bind_domains(
     for node in topo.hosts + topo.switches:
         d = domain_of[node.node_id]
         node.sim = sims[d]
-        node.pool = pools[d]
         if hubs is not None:
             node.stats = hubs[d]
         for port in node.ports:
@@ -536,10 +534,6 @@ def _run_inprocess(
         sims = [Simulator() for _ in range(shards)]
         mailboxes = [[] for _ in range(shards)]
         channel = _MailboxChannel(mailboxes, domain_of)
-    pools = [
-        PacketPool() if cfg.packet_pool else DISABLED_POOL
-        for _ in range(shards)
-    ]
     tele_cfg = cfg.telemetry
     hubs = None
     if tele_cfg is not None:
@@ -548,7 +542,7 @@ def _run_inprocess(
         # times).  Runtime flow registrations fan out from the parent.
         hubs = [scenario.stats.shard_clone() for _ in range(shards)]
         scenario.stats.bind_shards(hubs)
-    _bind_domains(scenario, domain_of, sims, pools, channel, hubs=hubs)
+    _bind_domains(scenario, domain_of, sims, channel, hubs=hubs)
     _install_faults_sharded(scenario, sims[0])
     recorders: list = []
     if tele_cfg is not None:
@@ -566,7 +560,7 @@ def _run_inprocess(
                     yield t, fn, args
 
         sanitizer = ShardedSanitizer(
-            scenario, sims, domain_of, pools, config=cfg.sanitize,
+            scenario, sims, domain_of, config=cfg.sanitize,
             extra_pending=_transit if mode == "barrier" else None,
         )
         scenario.sanitizer = sanitizer
@@ -576,7 +570,7 @@ def _run_inprocess(
 
         iso = ShardIsolationSanitizer()
         # after fault install, so link fault states carry owner tags
-        iso.tag_scenario(scenario, domain_of, pools)
+        iso.tag_scenario(scenario, domain_of)
     _schedule_flows_sharded(scenario)
     driver = scenario.rpc_driver
     if driver is not None:
@@ -735,12 +729,8 @@ def _worker_main(
     cfg = scenario.config
     shards = cfg.shards
     sims = [Simulator() for _ in range(shards)]
-    pools = [
-        PacketPool() if cfg.packet_pool else DISABLED_POOL
-        for _ in range(shards)
-    ]
     outbox: List[list] = [[] for _ in range(shards)]
-    _bind_domains(scenario, domain_of, sims, pools, _WireChannel(outbox, domain_of))
+    _bind_domains(scenario, domain_of, sims, _WireChannel(outbox, domain_of))
     # the full plan installs on this worker's private copy: foreign
     # links schedule onto sims that never run here, own-domain links
     # replay exactly the serial subsequence (per-link name-derived rng
@@ -774,7 +764,7 @@ def _worker_main(
         from repro.simcheck.sanitizer import ShardedSanitizer
 
         sanitizer = ShardedSanitizer(
-            scenario, sims, domain_of, pools, config=cfg.sanitize,
+            scenario, sims, domain_of, config=cfg.sanitize,
             my_domain=my_domain,
         )
         scenario.sanitizer = sanitizer
@@ -783,7 +773,7 @@ def _worker_main(
         from repro.simcheck.isolation import ShardIsolationSanitizer
 
         iso = ShardIsolationSanitizer()
-        iso.tag_scenario(scenario, domain_of, pools)
+        iso.tag_scenario(scenario, domain_of)
     _schedule_flows_sharded(scenario)
     digest = None
     if collect_digest:

@@ -24,11 +24,7 @@ run and again at the end:
    explicitly excludes.
 5. **Credit conservation** — Floodgate credit frames sent equal
    frames applied upstream + unclaimed + dropped + in flight.
-6. **Packet-pool integrity** — the recycler's free list agrees with
-   its release/recycle counters, holds no duplicates, and is disjoint
-   from every in-flight packet (a free-listed packet reachable from a
-   queue, VOQ, or heap entry is a use-after-free in the making).
-7. **Rate conservation** (fluid tier only) — the max-min allocation
+6. **Rate conservation** (fluid tier only) — the max-min allocation
    never oversubscribes a directed link or Floodgate VOQ cap: the sum
    of allocated flow rates on each resource stays within its capacity.
 
@@ -217,7 +213,6 @@ class SimSanitizer:
         self._check_buffers()
         self._check_windows()
         self._check_credits(inflight_credit)
-        self._check_pool()
         self._check_flow_rates()
         self._check_hybrid_boundary()
 
@@ -354,78 +349,6 @@ class SimSanitizer:
                 f"off by {sent - accounted})"
             )
 
-    def _check_pool(self) -> None:
-        """Packet recycler integrity (scenarios built with pooling on).
-
-        Counter agreement is cheap; the disjointness walk re-traverses
-        the same structures as :meth:`_inflight`, which is fine at
-        sanitizer cadence (the sanitizer never runs on benchmark
-        paths).
-        """
-        pool = getattr(self.scenario, "pool", None)
-        if pool is None or not pool.enabled:
-            return
-        self._check_one_pool(
-            pool,
-            (*self.topology.hosts, *self.topology.switches),
-            self.scenario.extensions,
-            self.sim.pending_items(),
-        )
-
-    def _check_one_pool(self, pool, nodes, extensions, pending_items) -> None:
-        """Integrity sweep for one recycler against one ownership scope.
-
-        ``nodes``/``extensions``/``pending_items`` bound the
-        disjointness walk: serial runs pass the whole fabric, sharded
-        runs pass one domain's slice per per-domain pool.
-        """
-        free = pool.free_count()
-        outstanding = pool.released - pool.recycled
-        if free != outstanding:
-            self.record(
-                f"packet pool counter drift: free list holds {free} "
-                f"packets but released({pool.released}) - "
-                f"recycled({pool.recycled}) = {outstanding}"
-            )
-        free_ids = {id(p) for p in pool.free_packets()}
-        if len(free_ids) != free:
-            self.record(
-                f"packet pool double-release: free list holds {free} "
-                f"entries but only {len(free_ids)} distinct packets"
-            )
-        if not free_ids:
-            return
-        for node in nodes:
-            for port in node.ports:
-                for queue in port.queues:
-                    for pkt in queue:
-                        if id(pkt) in free_ids:
-                            self.record(
-                                f"use-after-free: packet on {node.name} "
-                                f"port {port.index} queue is also on the "
-                                "pool free list"
-                            )
-        for ext in extensions:
-            voq_pool = getattr(ext, "pool", None)
-            if voq_pool is None:
-                continue
-            for voq in voq_pool.voqs:
-                for pkt in voq.packets:
-                    if id(pkt) in free_ids:
-                        self.record(
-                            f"use-after-free: packet in a VOQ of "
-                            f"{ext.switch.name} is also on the pool "
-                            "free list"
-                        )
-        for _time, fn, args in pending_items:
-            for arg in args:
-                if isinstance(arg, Packet) and id(arg) in free_ids:
-                    name = getattr(fn, "__qualname__", repr(fn))
-                    self.record(
-                        f"use-after-free: packet in pending event "
-                        f"{name} is also on the pool free list"
-                    )
-
     def _check_flow_rates(self) -> None:
         """Fluid-tier rate conservation (no-op on packet-level runs).
 
@@ -551,8 +474,7 @@ class ShardedSanitizer(SimSanitizer):
       its own hosts/switches/links/extensions hold; summing the ledgers
       in domain order reproduces the serial equations exactly (the
       partials are disjoint),
-    * buffer/window/pool sweeps run against one domain's slice at a
-      time (per-domain packet pools get per-domain disjointness walks),
+    * buffer/window sweeps run against one domain's slice at a time,
     * in worker mode (``my_domain`` set) conservation is skipped — no
       worker sees the whole fabric — and the final ledger ships to the
       parent, which sums all of them via :func:`conservation_violations`.
@@ -569,14 +491,12 @@ class ShardedSanitizer(SimSanitizer):
         scenario,
         sims,
         domain_of: Dict[int, int],
-        pools,
         config: Optional[SanitizerConfig] = None,
         my_domain: Optional[int] = None,
         extra_pending=None,
     ) -> None:
         self.sims = sims
         self.domain_of = domain_of
-        self.pools = pools
         self.my_domain = my_domain
         self._extra_pending = extra_pending
         super().__init__(scenario, config)
@@ -587,11 +507,6 @@ class ShardedSanitizer(SimSanitizer):
         return None  # swept from executor barriers, not a heap task
 
     # -- domain scoping ----------------------------------------------------
-
-    def _domains(self):
-        if self.my_domain is not None:
-            return (self.my_domain,)
-        return range(len(self.sims))
 
     def _domain_hosts(self, d: int):
         return [h for h in self.topology.hosts if self.domain_of[h.node_id] == d]
@@ -736,17 +651,5 @@ class ShardedSanitizer(SimSanitizer):
         # to the parent — workers ship their final ledger instead
         self._check_buffers()
         self._check_windows()
-        self._check_pool()
         self._check_flow_rates()
 
-    def _check_pool(self) -> None:
-        for d in self._domains():
-            pool = self.pools[d] if self.pools is not None else None
-            if pool is None or not getattr(pool, "enabled", False):
-                continue
-            self._check_one_pool(
-                pool,
-                (*self._domain_hosts(d), *self._domain_switches(d)),
-                self._domain_extensions(d),
-                self.sims[d].pending_items(),
-            )

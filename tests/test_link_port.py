@@ -2,11 +2,13 @@
 
 import random
 
+import pytest
+
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.units import gbps, serialization_delay
+from repro.units import SEC, gbps, serialization_delay
 
 
 class Sink(Node):
@@ -164,8 +166,6 @@ class TestLoss:
         assert link.dropped_packets == 400 - len(b.received)
 
     def test_invalid_loss_rate_rejected(self):
-        import pytest
-
         _, _, _, link = make_pair()
         with pytest.raises(ValueError):
             link.set_loss(1.5, random.Random(1))
@@ -175,3 +175,43 @@ class TestLoss:
         assert link.peer_of(a) is b
         assert link.peer_of(b) is a
         assert link.peer_port_of(a) == 0
+
+
+class TestDelayTable:
+    def _port(self):
+        from tests.conftest import MiniNet
+
+        net = MiniNet()
+        host = net.topo.hosts[0]
+        return host.ports[0]
+
+    def test_memoized_delay_matches_the_arithmetic(self):
+        port = self._port()
+        for size in (64, 1000, 1500):
+            expect = int(round(size * 8 * SEC / port.bandwidth))
+            assert port.serialization_delay_of(size) == expect
+            # second read comes from the memo and must agree
+            assert port.serialization_delay_of(size) == expect
+
+    def test_set_bandwidth_invalidates_the_memo(self):
+        port = self._port()
+        full = port.serialization_delay_of(1500)
+        port.set_bandwidth(port.bandwidth / 2)
+        assert port.serialization_delay_of(1500) == pytest.approx(
+            2 * full, rel=0.01
+        )
+
+    def test_bandwidth_property_setter_invalidates_too(self):
+        port = self._port()
+        full = port.serialization_delay_of(1000)
+        port.bandwidth = port.bandwidth / 4
+        assert port.serialization_delay_of(1000) == pytest.approx(
+            4 * full, rel=0.01
+        )
+
+    def test_rejects_non_positive_rate(self):
+        port = self._port()
+        with pytest.raises(ValueError):
+            port.set_bandwidth(0)
+        with pytest.raises(ValueError):
+            port.set_bandwidth(-1.0)

@@ -1,6 +1,13 @@
 """Packet model."""
 
-from repro.net.packet import ACK_KINDS, CONTROL_KINDS, Packet, PacketKind
+from repro.net.packet import (
+    ACK_KINDS,
+    CONTROL_KINDS,
+    IS_ACK_LIKE,
+    IS_CONTROL,
+    Packet,
+    PacketKind,
+)
 from repro.units import CTRL_PKT_SIZE
 
 
@@ -11,6 +18,12 @@ class TestConstruction:
         assert not pkt.ecn_marked
         assert pkt.psn == -1
         assert pkt.upstream_psn == -1
+
+    def test_init_sets_every_slot(self):
+        """A new Packet field that __init__ misses must fail loudly."""
+        pkt = Packet(PacketKind.DATA, 0, 1, 100)
+        for name in Packet.__slots__:
+            assert hasattr(pkt, name), f"__init__ does not set {name!r}"
 
     def test_control_constructor_size(self):
         pkt = Packet.control(PacketKind.CREDIT, 10, 20)
@@ -37,6 +50,11 @@ class TestClassification:
 
     def test_control_and_ack_sets_disjoint(self):
         assert not (CONTROL_KINDS & ACK_KINDS)
+
+    def test_dense_tables_agree_with_the_frozensets(self):
+        for kind in PacketKind:
+            assert IS_CONTROL[kind] == (kind in CONTROL_KINDS)
+            assert IS_ACK_LIKE[kind] == (kind in ACK_KINDS)
 
 
 class TestTrim:

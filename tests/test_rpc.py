@@ -244,7 +244,6 @@ class TestRegistry:
         from repro.experiments.bench import gate_metric_for
 
         assert gate_metric_for("rpc-fanout") == "requests_per_sec"
-        assert gate_metric_for("rpc-anything-else") == "requests_per_sec"
         assert gate_metric_for("flowsim-quick") == "flows_per_sec"
         assert gate_metric_for("quick") == "events_per_sec"
 
