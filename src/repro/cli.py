@@ -10,11 +10,8 @@ Usage::
                                [--repeats 3] [--gate] [--out BENCH_engine.json]
     floodgate-experiment scenarios list [--tag bench]
     floodgate-experiment scenarios show NAME
-    floodgate-experiment validate-flowsim [--scenario quick ...]
-                                          [--tolerance 0.15] [--min-speedup 20]
-    floodgate-experiment validate-hybrid [--scenario incast256 ...]
-                                         [--tolerance 0.10] [--min-speedup 5]
-                                         [--paranoid]
+    floodgate-experiment validate [--fidelity flow hybrid] [--scenario quick ...]
+                                  [--min-speedup X] [--paranoid] [--json FILE]
     floodgate-experiment report [--scheme floodgate] [--out run.jsonl]
     floodgate-experiment report --from run.jsonl
     floodgate-experiment check [paths ...] [--sanitize] [--rules]
@@ -323,71 +320,40 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path (default BENCH_engine.json, or $REPRO_BENCH_OUT)",
     )
     validate_p = sub.add_parser(
-        "validate-flowsim",
-        help="cross-validate the fluid tier against the packet engine "
-        "(FCT divergence + speedup)",
+        "validate",
+        help="cross-validate the fluid and/or hybrid tier against the "
+        "packet engine (FCT divergence + speedup)",
+    )
+    validate_p.add_argument(
+        "--fidelity",
+        nargs="+",
+        default=["flow", "hybrid"],
+        choices=["flow", "hybrid"],
+        help="tier(s) to validate (default: both)",
     )
     validate_p.add_argument(
         "--scenario",
         nargs="+",
         default=None,
         choices=["quick", "incast256", "fattree-a2a"],
-        help="bench scenario(s) to validate (default: all three)",
-    )
-    validate_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="max p50/p99 FCT divergence asserted on quick and "
-        "incast256 (default 0.15)",
+        help="bench scenario(s) to validate (default: each tier's own — "
+        "all three for flow, incast256 and fattree-a2a for hybrid)",
     )
     validate_p.add_argument(
         "--min-speedup",
         type=float,
-        default=20.0,
-        help="min aggregate incast256 wall-clock speedup; 0 disables "
-        "(default 20)",
+        default=None,
+        help="min aggregate wall-clock speedup for every requested tier; "
+        "0 disables (default: 20 on flow's incast256, 5 on all hybrid "
+        "configs)",
     )
     validate_p.add_argument(
-        "--json",
-        dest="json_out",
-        default=None,
-        metavar="FILE",
-        help="also write the per-config comparisons as JSON",
-    )
-    validate_h = sub.add_parser(
-        "validate-hybrid",
-        help="cross-validate the hybrid tier against the packet engine "
-        "(hot-rack FCT divergence + speedup)",
-    )
-    validate_h.add_argument(
-        "--scenario",
-        nargs="+",
-        default=None,
-        choices=["quick", "incast256", "fattree-a2a"],
-        help="bench scenario(s) to validate (default: incast256 and "
-        "fattree-a2a)",
-    )
-    validate_h.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="max hot-rack p50/p99 FCT divergence (default 0.10)",
-    )
-    validate_h.add_argument(
-        "--min-speedup",
-        type=float,
-        default=5.0,
-        help="min aggregate wall-clock speedup across all configs; "
-        "0 disables (default 5)",
-    )
-    validate_h.add_argument(
         "--paranoid",
         action="store_true",
         help="cross-check every incremental max-min reallocation "
         "against a full recompute (slow)",
     )
-    validate_h.add_argument(
+    validate_p.add_argument(
         "--json",
         dest="json_out",
         default=None,
@@ -546,48 +512,18 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0 if result["undetected_stalls"] == 0 else 1
 
-    if args.command == "validate-flowsim":
-        from repro.flowsim.validate import cross_validate
+    if args.command == "validate":
+        from repro.experiments.validate import validate
 
-        names = args.scenario or ["quick", "incast256", "fattree-a2a"]
         print(
-            f"Cross-validating fluid tier on: {', '.join(names)} ...",
+            f"Cross-validating {' and '.join(args.fidelity)} tier(s) "
+            f"against the packet engine ...",
             file=sys.stderr,
         )
         start = time.monotonic()
-        ok, comparisons, messages = cross_validate(
-            names,
-            tolerance=args.tolerance,
-            min_speedup=args.min_speedup,
-        )
-        for msg in messages:
-            print(msg)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    [c.as_dict() for c in comparisons], fh, indent=2
-                )
-                fh.write("\n")
-            print(f"comparisons written to {args.json_out}", file=sys.stderr)
-        verdict = "PASS" if ok else "FAIL"
-        print(
-            f"validate-flowsim: {verdict} in {time.monotonic() - start:.1f}s",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
-
-    if args.command == "validate-hybrid":
-        from repro.hybrid.validate import validate_hybrid
-
-        names = args.scenario or ["incast256", "fattree-a2a"]
-        print(
-            f"Cross-validating hybrid tier on: {', '.join(names)} ...",
-            file=sys.stderr,
-        )
-        start = time.monotonic()
-        ok, comparisons, messages = validate_hybrid(
-            names,
-            tolerance=args.tolerance,
+        ok, comparisons, messages = validate(
+            args.fidelity,
+            args.scenario,
             min_speedup=args.min_speedup,
             paranoid=args.paranoid,
         )
@@ -602,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"comparisons written to {args.json_out}", file=sys.stderr)
         verdict = "PASS" if ok else "FAIL"
         print(
-            f"validate-hybrid: {verdict} in {time.monotonic() - start:.1f}s",
+            f"validate: {verdict} in {time.monotonic() - start:.1f}s",
             file=sys.stderr,
         )
         return 0 if ok else 1

@@ -87,8 +87,11 @@ TRAJECTORIES = {
 SHARD_SPEEDUP_GATES = {"shard-fattree-a2a": 1.8}
 
 #: scenario -> minimum speedup_vs_packet the gate enforces for hybrid
-#: records.  Bench scale is smaller than the validate-hybrid runs, so
-#: the bar sits below the 5x the validation CLI asserts at full scale
+#: records.  hybrid-incast256 runs exactly ``validate``'s incast256
+#: hybrid configs; the difference is scope.  This gate sees incast256
+#: alone (its latest record: 4.9x), while ``validate --fidelity
+#: hybrid`` asserts 5x on the aggregate over incast256 + fattree-a2a
+#: (4.9-6.1x across runs), so the bar here sits lower
 HYBRID_SPEEDUP_GATES = {"hybrid-incast256": 3.0}
 
 #: flowsim gate fallback when no same-machine history exists: the
@@ -292,7 +295,7 @@ def run_bench_scenario(spec: BenchScenario, repeats: int = 3) -> Dict:
     if sharded:
         serial_median = statistics.median(serial_walls)
         record["shards"] = max(cfg.shards for cfg in spec.configs)
-        record["cpus"] = os.cpu_count() or 1
+        record["cpus"] = available_cpus()
         record["serial_wall_seconds"] = round(serial_median, 4)
         record["speedup_vs_serial"] = (
             round(serial_median / median, 3) if median else 0.0

@@ -10,8 +10,8 @@ abstraction.
 The tier sits behind the same :class:`ScenarioConfig` /
 :class:`ResultSummary` interface as the packet engine — select it with
 ``ScenarioConfig(fidelity="flow")`` — and is cross-validated against
-packet-level FCT distributions by :mod:`repro.flowsim.validate`
-(``floodgate-experiment validate-flowsim``).
+packet-level FCT distributions by :mod:`repro.experiments.validate`
+(``floodgate-experiment validate --fidelity flow``).
 """
 
 from repro.flowsim.maxmin import max_min_rates

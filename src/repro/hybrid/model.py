@@ -93,7 +93,7 @@ _DRIFT_SLACK_BITS = 16 * MTU * 8
 #: applies *while* the bottleneck is saturated, whereas the real
 #: sender keeps under-shooting through its recovery timers after the
 #: queue drains.  Calibrated against the packet engine
-#: (validate-hybrid holds it to 10 %)
+#: (``validate --fidelity hybrid`` holds it to 10 %)
 _DCQCN_COLD_UTILIZATION = 0.75
 
 #: a link counts as a candidate max-min bottleneck above this

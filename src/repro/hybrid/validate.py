@@ -1,229 +1,13 @@
-"""Cross-validation: hybrid tier vs the packet engine, same scenarios.
+"""The hybrid tier's validation entry points, kept under their old home.
 
-``validate_hybrid`` runs incast256 and fattree-a2a at both fidelities
-and compares FCT percentiles over the **hot-rack** flow population —
-flows whose source or destination host sits in a rack the hybrid run
-simulated at packet level, matched by flow id across both runs.  That
-is the population the hybrid tier promises packet-level fidelity for;
-cold-to-cold flows ride the fluid model and carry its (separately
-validated, looser) tolerance instead.
-
-The scenario configs reuse :func:`repro.flowsim.validate.validation_configs`
-verbatim — the same drop-free incast variant, the same fat-tree Poisson
-load — with only the fidelity flipped, so the two validation CLIs
-bracket one scenario set from both sides.
-
-Thresholds: hot-rack p50/p99 divergence within ``tolerance`` (default
-10 %, tighter than the fluid tier's 15/25 % because the hot domain runs
-the real engine), and aggregate wall-clock speedup across every config
-of at least ``min_speedup`` (default 5x).
-
-``quick`` can be requested explicitly but is *outside the hybrid
-tier's operating envelope*: a uniformly loaded 0.8-utilization fabric
-has no incast victim, so auto-selection falls back to the busiest
-destination and nearly half the traffic crosses the fluid boundary —
-the regime where the tier's approximations stack instead of cancel
-(measured ~35 % p50 there).  A workload without a hot spot belongs on
-the fluid or packet tier; the hybrid tier's promise is confined to
-the hot-rack population of incast-shaped workloads, which is exactly
-what the default scenario set asserts.
+The harness itself lives in :mod:`repro.experiments.validate` (one
+harness for the flow and hybrid tiers); this module re-exports what
+existing callers import from here.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import ScenarioConfig
-from repro.flowsim.validate import validation_configs
-from repro.stats.fct import summarize_fct
+from repro.experiments.validate import TIERS, compare_config
 
 #: hot-rack p50/p99 divergence budget (fraction of the packet value)
-DEFAULT_TOLERANCE = 0.10
+DEFAULT_TOLERANCE = TIERS["hybrid"].tolerance
 
-#: asserted aggregate wall-clock speedup across all validated configs
-DEFAULT_MIN_SPEEDUP = 5.0
-
-#: the scenarios validate-hybrid runs and asserts by default
-DEFAULT_SCENARIOS = ("incast256", "fattree-a2a")
-
-
-@dataclass(frozen=True)
-class HybridComparison:
-    """Both-fidelity results for one config of one scenario."""
-
-    scenario: str
-    config_index: int
-    hot_racks: Tuple[int, ...]
-    matched_hot_flows: int
-    packet_only_flows: int
-    hybrid_only_flows: int
-    packet_wall: float
-    hybrid_wall: float
-    p50_packet_ns: int
-    p50_hybrid_ns: int
-    p99_packet_ns: int
-    p99_hybrid_ns: int
-
-    @property
-    def p50_divergence(self) -> float:
-        if self.p50_packet_ns <= 0:
-            return 0.0
-        return abs(self.p50_hybrid_ns - self.p50_packet_ns) / self.p50_packet_ns
-
-    @property
-    def p99_divergence(self) -> float:
-        if self.p99_packet_ns <= 0:
-            return 0.0
-        return abs(self.p99_hybrid_ns - self.p99_packet_ns) / self.p99_packet_ns
-
-    @property
-    def speedup(self) -> float:
-        if self.hybrid_wall <= 0.0:
-            return float("inf")
-        return self.packet_wall / self.hybrid_wall
-
-    def as_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "config_index": self.config_index,
-            "hot_racks": list(self.hot_racks),
-            "matched_hot_flows": self.matched_hot_flows,
-            "packet_only_flows": self.packet_only_flows,
-            "hybrid_only_flows": self.hybrid_only_flows,
-            "packet_wall_seconds": round(self.packet_wall, 4),
-            "hybrid_wall_seconds": round(self.hybrid_wall, 4),
-            "speedup": round(self.speedup, 2),
-            "p50_packet_ns": self.p50_packet_ns,
-            "p50_hybrid_ns": self.p50_hybrid_ns,
-            "p50_divergence": round(self.p50_divergence, 4),
-            "p99_packet_ns": self.p99_packet_ns,
-            "p99_hybrid_ns": self.p99_hybrid_ns,
-            "p99_divergence": round(self.p99_divergence, 4),
-        }
-
-
-def hybrid_validation_configs(
-    scenario: str, paranoid: bool = False
-) -> Tuple[ScenarioConfig, ...]:
-    """The fluid validation variant of ``scenario``, fidelity-flipped."""
-    return tuple(
-        replace(cfg, fidelity="hybrid", paranoid_maxmin=paranoid)
-        for cfg in validation_configs(scenario)
-    )
-
-
-def compare_config(
-    scenario: str, index: int, config: ScenarioConfig
-) -> HybridComparison:
-    """Run ``config`` at both fidelities; compare hot-rack FCTs.
-
-    The hot-rack set comes from the hybrid run itself (explicit
-    ``hot_racks`` or its auto-selection), so the comparison always
-    covers exactly the domain that ran at packet level.
-    """
-    hybrid = run_scenario(replace(config, fidelity="hybrid"))
-    packet = run_scenario(
-        replace(config, fidelity="packet", hot_racks=(), paranoid_maxmin=False)
-    )
-    hot_racks = hybrid.scenario.hybrid.hot_racks
-    rack_of = hybrid.scenario.rack_of()
-    hot_ids: Dict[int, None] = {}
-    for spec in hybrid.scenario.flows:
-        if rack_of[spec.src] in hot_racks or rack_of[spec.dst] in hot_racks:
-            hot_ids[spec.flow_id] = None
-    by_id_packet = {
-        r.flow_id: r for r in packet.stats.fct_records if r.flow_id in hot_ids
-    }
-    by_id_hybrid = {
-        r.flow_id: r for r in hybrid.stats.fct_records if r.flow_id in hot_ids
-    }
-    matched = sorted(set(by_id_packet) & set(by_id_hybrid))
-    sp = summarize_fct([by_id_packet[f] for f in matched])
-    sh = summarize_fct([by_id_hybrid[f] for f in matched])
-    return HybridComparison(
-        scenario=scenario,
-        config_index=index,
-        hot_racks=hot_racks,
-        matched_hot_flows=len(matched),
-        packet_only_flows=len(by_id_packet) - len(matched),
-        hybrid_only_flows=len(by_id_hybrid) - len(matched),
-        packet_wall=packet.wall_seconds,
-        hybrid_wall=hybrid.wall_seconds,
-        p50_packet_ns=sp.p50_ns,
-        p50_hybrid_ns=sh.p50_ns,
-        p99_packet_ns=sp.p99_ns,
-        p99_hybrid_ns=sh.p99_ns,
-    )
-
-
-def validate_hybrid(
-    scenarios: Optional[Sequence[str]] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    min_speedup: float = DEFAULT_MIN_SPEEDUP,
-    paranoid: bool = False,
-) -> Tuple[bool, List[HybridComparison], List[str]]:
-    """Validate the hybrid tier against the packet engine.
-
-    Returns ``(ok, comparisons, messages)``.  ``ok`` is False when any
-    config's hot-rack p50/p99 divergence exceeds ``tolerance`` (on
-    configs with matched hot flows) or the aggregate wall-clock speedup
-    across all configs falls below ``min_speedup``.  ``paranoid``
-    cross-checks every incremental max-min reallocation in the hybrid
-    runs against a full recompute (slow; its wall time is excluded from
-    nothing — expect the speedup to shrink).
-    """
-    names = list(scenarios) if scenarios else list(DEFAULT_SCENARIOS)
-    ok = True
-    comparisons: List[HybridComparison] = []
-    messages: List[str] = []
-    packet_total = hybrid_total = 0.0
-    for name in names:
-        for index, cfg in enumerate(hybrid_validation_configs(name, paranoid)):
-            cmp = compare_config(name, index, cfg)
-            comparisons.append(cmp)
-            packet_total += cmp.packet_wall
-            hybrid_total += cmp.hybrid_wall
-            if cmp.matched_hot_flows == 0:
-                ok = False
-                messages.append(
-                    f"FAIL {name}[{index}]: no matched hot-rack flows "
-                    f"(packet-only={cmp.packet_only_flows}, "
-                    f"hybrid-only={cmp.hybrid_only_flows})"
-                )
-                continue
-            line = (
-                f"{name}[{index}]: hot={list(cmp.hot_racks)} "
-                f"n={cmp.matched_hot_flows} "
-                f"p50 {cmp.p50_packet_ns}ns vs {cmp.p50_hybrid_ns}ns "
-                f"({cmp.p50_divergence:.1%}), "
-                f"p99 {cmp.p99_packet_ns}ns vs {cmp.p99_hybrid_ns}ns "
-                f"({cmp.p99_divergence:.1%}), speedup {cmp.speedup:.1f}x"
-            )
-            if (
-                cmp.p50_divergence > tolerance
-                or cmp.p99_divergence > tolerance
-            ):
-                ok = False
-                messages.append(
-                    f"FAIL {line} — divergence above {tolerance:.0%}"
-                )
-            else:
-                messages.append(f"ok   {line}")
-    if min_speedup > 0:
-        speedup = (
-            packet_total / hybrid_total if hybrid_total > 0 else float("inf")
-        )
-        if speedup < min_speedup:
-            ok = False
-            messages.append(
-                f"FAIL aggregate: speedup {speedup:.1f}x below required "
-                f"{min_speedup:.0f}x"
-            )
-        else:
-            messages.append(
-                f"ok   aggregate: speedup {speedup:.1f}x >= "
-                f"{min_speedup:.0f}x"
-            )
-    return ok, comparisons, messages
+__all__ = ["DEFAULT_TOLERANCE", "compare_config"]

@@ -42,3 +42,35 @@ class TestRun:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestValidate:
+    def test_parser_accepts_fidelity(self, monkeypatch, capsys):
+        from repro.experiments import validate as harness
+
+        calls = []
+
+        def fake_validate(fidelities, scenarios, min_speedup, paranoid):
+            calls.append((fidelities, scenarios, min_speedup, paranoid))
+            return True, [], ["ok   stub"]
+
+        monkeypatch.setattr(harness, "validate", fake_validate)
+        argv = ["validate", "--fidelity", "hybrid", "--scenario", "incast256"]
+        assert main(argv + ["--min-speedup", "2"]) == 0
+        assert main(["validate"]) == 0
+        assert calls == [
+            (["hybrid"], ["incast256"], 2.0, False),
+            (["flow", "hybrid"], None, None, False),
+        ]
+        assert "ok   stub" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--fidelity", "packet"],
+            ["validate", "--tolerance", "0.2"],
+        ],
+    )
+    def test_unknown_tier_and_retired_tolerance_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)

@@ -265,3 +265,77 @@ def test_fidelity_enters_the_config_fingerprint():
     packet = config_fingerprint(replace(tiny_cfg(), fidelity="packet"))
     flow = config_fingerprint(replace(tiny_cfg(), fidelity="flow"))
     assert packet != flow
+
+
+# -- cross-validation verdicts (repro.experiments.validate) -------------------
+
+
+def comparison(**overrides):
+    from repro.experiments.validate import Comparison
+
+    base = dict(
+        scenario="quick",
+        config_index=0,
+        fidelity="flow",
+        hot_racks=(),
+        matched_flows=10,
+        packet_only_flows=0,
+        tier_only_flows=0,
+        packet_wall=30.0,
+        tier_wall=1.0,
+        p50_packet_ns=1000,
+        p50_tier_ns=1000,
+        p99_packet_ns=2000,
+        p99_tier_ns=2000,
+    )
+    base.update(overrides)
+    return Comparison(**base)
+
+
+def test_flow_divergence_beyond_its_scenario_tolerance_fails():
+    from repro.experiments.validate import judge
+
+    ok, messages = judge("flow", [comparison(p50_tier_ns=1200)])
+    assert not ok and messages[0].startswith("FAIL flow quick[0]")
+    # fattree-a2a carries its own 25 % budget: 20 % passes there
+    ok, _ = judge("flow", [comparison(scenario="fattree-a2a", p99_tier_ns=2400)])
+    assert ok
+    ok, _ = judge("flow", [comparison(scenario="fattree-a2a", p99_tier_ns=2600)])
+    assert not ok
+
+
+@pytest.mark.parametrize("fidelity", ["flow", "hybrid"])
+def test_zero_matched_flows_fails_on_every_tier(fidelity):
+    from repro.experiments.validate import judge
+
+    cmp = comparison(fidelity=fidelity, matched_flows=0, packet_only_flows=3)
+    ok, messages = judge(fidelity, [cmp])
+    assert not ok
+    assert "no matched flows" in messages[0]
+
+
+def test_flow_speedup_gate_covers_incast256_only():
+    from repro.experiments.validate import judge
+
+    slow = dict(packet_wall=1.0, tier_wall=1.0)
+    ok, messages = judge("flow", [comparison(**slow)])
+    assert ok and not any("aggregate" in m for m in messages)
+    ok, messages = judge(
+        "flow", [comparison(**slow), comparison(scenario="incast256")]
+    )
+    assert ok and messages[-1].startswith("ok   flow incast256: aggregate")
+    ok, messages = judge("flow", [comparison(scenario="incast256", **slow)])
+    assert not ok and messages[-1].startswith("FAIL flow incast256: aggregate")
+    # an explicit 0 disables the gate
+    ok, _ = judge("flow", [comparison(scenario="incast256", **slow)], 0)
+    assert ok
+
+
+def test_compare_config_matches_every_flow_on_the_flow_tier():
+    from repro.experiments.validate import compare_config
+
+    cmp = compare_config("tiny", 0, tiny_cfg(fidelity="flow"))
+    packet = run_scenario(tiny_cfg())
+    assert cmp.fidelity == "flow" and cmp.hot_racks == ()
+    assert cmp.matched_flows + cmp.packet_only_flows == packet.completed_flows
+    assert cmp.matched_flows > 0

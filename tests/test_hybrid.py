@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.hybrid import select_hot_racks
-from repro.hybrid.validate import hybrid_validation_configs
 from repro.simcheck.determinism import check_repeatable
 from repro.simcheck.sanitizer import SanitizerConfig
 from repro.units import us
@@ -136,8 +137,6 @@ def test_hybrid_same_seed_runs_are_byte_identical():
 
 
 def test_hybrid_flow_population_matches_packet():
-    from dataclasses import replace
-
     hybrid = run_scenario(mix_cfg())
     packet = run_scenario(
         replace(mix_cfg(), fidelity="packet", hot_racks=())
@@ -154,16 +153,102 @@ def test_paranoid_maxmin_accepts_the_hybrid_run():
 
 
 def test_validation_configs_flip_fidelity_only():
-    from repro.flowsim.validate import validation_configs
+    """The packet reference differs from a tier's run of a validation
+    config in fidelity and the tier-only knobs alone."""
+    from repro.experiments import validate as harness
 
-    base = validation_configs("incast256")
-    flipped = hybrid_validation_configs("incast256", paranoid=True)
-    assert len(flipped) == len(base)
-    for b, h in zip(base, flipped):
-        assert h.fidelity == "hybrid"
-        assert h.paranoid_maxmin
-        assert h.incast_fan_in == b.incast_fan_in
-        assert h.flow_control == b.flow_control
+    base = harness.validation_configs("incast256")
+    assert base and all(b.flow_control == "floodgate" for b in base)
+    for b in base:
+        hybrid = replace(b, fidelity="hybrid", hot_racks=(0,), paranoid_maxmin=True)
+        assert harness.packet_reference(hybrid) == b
+
+
+def comparison(**overrides):
+    from repro.experiments.validate import Comparison
+
+    base = dict(
+        scenario="incast256",
+        config_index=0,
+        fidelity="hybrid",
+        hot_racks=(0,),
+        matched_flows=10,
+        packet_only_flows=0,
+        tier_only_flows=0,
+        packet_wall=6.0,
+        tier_wall=1.0,
+        p50_packet_ns=1000,
+        p50_tier_ns=1000,
+        p99_packet_ns=2000,
+        p99_tier_ns=2000,
+    )
+    base.update(overrides)
+    return Comparison(**base)
+
+
+def test_hybrid_divergence_above_ten_percent_fails_on_fattree_too():
+    from repro.experiments.validate import judge
+
+    assert judge("hybrid", [comparison(p99_tier_ns=2150)])[0]
+    ok, messages = judge(
+        "hybrid", [comparison(scenario="fattree-a2a", p99_tier_ns=2300)]
+    )
+    assert not ok and "above 10%" in messages[0]
+
+
+def test_hybrid_speedup_gate_spans_every_config():
+    from repro.experiments.validate import judge
+
+    fast = comparison()
+    slow = comparison(scenario="fattree-a2a", packet_wall=1.0)
+    # 7 s packet over 2 s hybrid: 3.5x aggregate, below the 5x budget,
+    # although incast256 alone clears it
+    ok, messages = judge("hybrid", [fast, slow])
+    assert not ok
+    assert messages[-1].startswith("FAIL hybrid all configs: aggregate speedup 3.5x")
+    assert judge("hybrid", [fast, slow], min_speedup=3.0)[0]
+
+
+def test_each_packet_reference_runs_once(monkeypatch):
+    """Both tiers validate incast256 and fattree-a2a by default; each of
+    their packet references runs once, not once per tier."""
+    from repro.experiments import validate as harness
+
+    seen = []
+
+    def counting_run(cfg, *args, **kwargs):
+        seen.append(cfg)
+        return run_scenario(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scenario", counting_run)
+    tiny = replace(mix_cfg(), fidelity="packet")
+    monkeypatch.setattr(harness, "validation_configs", lambda name: (tiny,))
+    _, comparisons, _ = harness.validate(min_speedup=0)
+    # every run is the validation config with only its fidelity flipped
+    assert all(replace(cfg, fidelity="packet") == tiny for cfg in seen)
+    runs = [cfg.fidelity for cfg in seen]
+    # quick, incast256, fattree-a2a on flow; incast256, fattree-a2a on hybrid
+    assert runs.count("packet") == 3
+    assert runs.count("flow") == 3
+    assert runs.count("hybrid") == 2
+    assert [(c.fidelity, c.scenario) for c in comparisons] == [
+        ("flow", "quick"),
+        ("flow", "incast256"),
+        ("flow", "fattree-a2a"),
+        ("hybrid", "incast256"),
+        ("hybrid", "fattree-a2a"),
+    ]
+    assert all(c.matched_flows > 0 for c in comparisons)
+
+
+def test_hybrid_validate_module_keeps_compare_config():
+    from repro.hybrid.validate import DEFAULT_TOLERANCE, compare_config
+
+    cmp = compare_config("mix", 0, mix_cfg())
+    assert DEFAULT_TOLERANCE == 0.10
+    assert cmp.fidelity == "hybrid" and cmp.hot_racks
+    assert cmp.matched_hot_flows == cmp.matched_flows > 0
+    assert cmp.p50_divergence >= 0.0 and cmp.p99_divergence >= 0.0
 
 
 def test_telemetry_counters_are_exported():
